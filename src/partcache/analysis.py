@@ -99,8 +99,10 @@ def sic_noise_factor(s_code: int, cfg: SystemConfig) -> float:
     t = cfg.rate_ratio / s_code
     if t == 0.0:
         return 0.0
+    threshold = cfg.stage_threshold(s_code)
+    if threshold == math.inf:  # no finite SINR clears the stage
+        return math.inf
     x = 2.0 / cfg.path_loss_exp
-    threshold = 2.0**t - 1.0
     return x * threshold**x * beta_complement(x, 1.0 - x, 2.0**-t)
 
 

@@ -112,6 +112,17 @@ class SystemConfig:
         """File size divided by the slot's bit budget, file_size/(bandwidth*slot_duration)."""
         return self.file_size / (self.bandwidth * self.slot_duration)
 
+    def stage_threshold(self, s_code: int) -> float:
+        """SINR a decode stage must clear to carry one of ``s_code`` pieces.
+
+        2**(rate_ratio/s_code) - 1, or +inf once 2**t overflows a float: no
+        finite SINR then clears the stage, so its success is exactly zero.
+        """
+        try:
+            return 2.0 ** (self.rate_ratio / s_code) - 1.0
+        except OverflowError:
+            return math.inf
+
 
 # --------------------------------------------------------------------------
 # popularity

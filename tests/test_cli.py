@@ -255,6 +255,34 @@ def test_simulate_rlnc_row(cfg_file, tmp_path):
     assert row["seed"] == "3"
 
 
+@pytest.fixture
+def huge_file_cfg(tmp_path):
+    # 1e8 bits over a 1e4-bit slot: 2**rate_ratio overflows a float
+    path = tmp_path / "huge.cfg"
+    path.write_text(CFG_TEXT.replace("1.0e4", "1.0e8"), encoding="utf-8")
+    return str(path)
+
+
+def test_analyze_files_too_large_for_any_stage(huge_file_cfg, tmp_path):
+    out = tmp_path / "a.csv"
+    argv = ["analyze", "--config", huge_file_cfg, "--codes", "1,1,0,0,0", "--out", str(out)]
+    assert main(argv) == 0
+    _, (row,) = read_csv_rows(out)
+    assert float(row["total"]) == 0.0
+    assert all(float(v) == 0.0 for v in row["per_file"].split(";"))
+
+
+def test_simulate_baseline_files_too_large_for_any_stage(huge_file_cfg, tmp_path):
+    out = tmp_path / "b1.csv"
+    argv = [
+        "simulate", "--config", huge_file_cfg, "--design", "baseline1",
+        "--trials", "40", "--seed", "2", "--disc-scale", "10", "--out", str(out),
+    ]
+    assert main(argv) == 0
+    _, (row,) = read_csv_rows(out)
+    assert float(row["mc_mean"]) == 0.0 and float(row["mc_ci"]) == 0.0
+
+
 # -------------------------------------------------------------------- sweep
 
 
@@ -318,6 +346,38 @@ def test_sweep_simulation_is_deterministic(tmp_path, capsys):
     # baseline rows carry no closed form
     _, rows = read_csv_rows(a_dir / "sweep_file_size_baseline1.csv")
     assert all(r["objective"] == "" for r in rows)
+
+
+def test_depth_sweep_simulates_each_baseline_once(tmp_path, capsys, monkeypatch):
+    spec = write_sweep(
+        tmp_path,
+        """
+        config = system.cfg
+        variable = sic_capability
+        grid = 1, 2, 3
+        designs = baseline2, rlnc:1-1-0-0-0
+        evaluation = simulate
+        trials = 60
+        seed = 8
+        """,
+    )
+    calls = []
+    real = cli.simulate.simulate_baseline
+    monkeypatch.setattr(
+        cli.simulate, "simulate_baseline", lambda *a: calls.append(a) or real(*a)
+    )
+    out_dir = tmp_path / "out"
+    assert main(["sweep", spec, "--out", str(out_dir), "--disc-scale", "12"]) == 0
+    capsys.readouterr()
+    assert len(calls) == 1
+    path = out_dir / "sweep_sic_capability_baseline2.csv"
+    assert "simulated once at sic_capability = 1" in path.read_text(encoding="utf-8")
+    _, rows = read_csv_rows(path)
+    pop = zipf_popularity(5, 1.0)
+    for row in rows:
+        cfg = make_cfg(sic_capability=int(float(row["value"])))
+        est = real(2, pop, cfg, 60, 8, 12.0)
+        assert (row["mc_mean"], row["mc_ci"]) == (format_real(est.mean), format_real(est.ci_half_width))
 
 
 def test_sweep_seed_override_and_warning(tmp_path, capsys):

@@ -1,7 +1,14 @@
+import gc
 import math
+import sys
+import threading
+import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from partcache import (
@@ -12,6 +19,7 @@ from partcache import (
     SubfilePlacement,
     UcAllocation,
     coupon_pmf,
+    default_serve_counts,
     sample_network,
     sic_decode_chain,
     simulate_baseline,
@@ -23,7 +31,8 @@ from partcache import (
     water_fill_mu,
     zipf_popularity,
 )
-from partcache.simulate import _strip_covers
+from partcache import simulate as simulate_module
+from partcache.simulate import TABLE_HEAD, _stream, _strip_covers
 from .conftest import make_cfg
 
 
@@ -245,3 +254,238 @@ def test_graded_baseline_runs(cfg5, pop5):
     # grading toward popular files cannot fall behind uniform caching by much
     uniform = simulate_baseline(2, pop5, cfg5, 1500, 13, disc_scale=25.0)
     assert out.mean >= uniform.mean - 3.0 * (out.ci_half_width + uniform.ci_half_width)
+
+
+# ------------------------------------------------------ literal replay oracle
+#
+# Trial by trial, as the contract states it: a fresh stream pair, the
+# caller's own field, the decode chain and the baselines' nearest holder.
+# The simulators read shared fields from a table; these must agree exactly.
+
+
+def _literal_requests(pop, trials, seed):
+    cum = np.cumsum(np.asarray(pop.probs, dtype=np.float64))
+    for trial in range(trials):
+        aux = _stream(seed, trial, 0)
+        net = _stream(seed, trial, 1)
+        n = min(int(np.searchsorted(cum, aux.random(), side="right")), len(pop) - 1)
+        yield n, aux, net
+
+
+def _literal_powers(realization, alpha):
+    x = realization.bs_distances * realization.bs_distances
+    gain = 1.0 / (x * x) if alpha == 4.0 else x ** (-0.5 * alpha)
+    return gain * realization.fading_powers
+
+
+def _literal_result(pop, cfg, trials, seed, outcome):
+    successes = [0] * cfg.n_files
+    requests = [0] * cfg.n_files
+    for n, aux, net in _literal_requests(pop, trials, seed):
+        requests[n] += 1
+        successes[n] += bool(outcome(n, aux, net))
+    estimate = simulate_module._estimate
+    return simulate_module.SimulationResult(
+        estimate(sum(successes), trials, seed),
+        tuple(estimate(s, r, seed) for s, r in zip(successes, requests)),
+    )
+
+
+def literal_rlnc(alloc, pop, cfg, trials, seed, disc):
+    def outcome(n, aux, net):
+        c = alloc.codes[n]
+        return c > 0 and sic_decode_chain(sample_network(cfg, net, disc), c, c, cfg)
+
+    return _literal_result(pop, cfg, trials, seed, outcome)
+
+
+def literal_uc(alloc, pop, cfg, trials, seed, disc):
+    def outcome(n, aux, net):
+        c = alloc.codes[n]
+        if c == 0:
+            return False
+        depth = 1
+        if c > 1:
+            depth = subfile_cover_index(aux.integers(0, c, size=alloc.serve_counts[n]), c)
+            if depth == 0:
+                return False
+        return sic_decode_chain(sample_network(cfg, net, disc), c, depth, cfg)
+
+    return _literal_result(pop, cfg, trials, seed, outcome)
+
+
+def literal_baseline(which, pop, cfg, trials, seed, disc):
+    k = cfg.cache_size
+    widths = None
+    if which == 2:
+        widths = (k / cfg.n_files,) * cfg.n_files
+    elif which == 3:
+        widths = water_fill_mu(pop, k)[1]
+    edges = np.concatenate([[0.0], np.cumsum(widths)]) if widths else None
+    threshold = 2.0**cfg.rate_ratio - 1.0
+
+    def outcome(n, aux, net):
+        if which == 1:
+            if n >= k:
+                return False
+            powers = _literal_powers(sample_network(cfg, net, disc), cfg.path_loss_exp)
+            serving = 0
+        else:
+            realization = sample_network(cfg, net, disc)
+            member = _strip_covers(
+                aux.random(realization.bs_distances.size), edges[n], widths[n], k
+            )
+            if not member.any():
+                return False
+            serving = int(member.argmax())
+            powers = _literal_powers(realization, cfg.path_loss_exp)
+        interference = float(powers[:serving].sum()) + float(powers[serving + 1 :].sum())
+        return float(powers[serving]) > threshold * interference
+
+    return _literal_result(pop, cfg, trials, seed, outcome).overall
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except SimulationError as exc:
+        return type(exc)
+
+
+# (n_files, cache_size, sic_capability): the demo, a library whose ladder
+# holders often sit beyond the table's head, and chains deeper than the head
+_SYSTEMS = ((5, 2, 3), (24, 1, 5), (6, 2, TABLE_HEAD + 2))
+
+_CALL = st.tuples(
+    st.sampled_from(("rlnc", "uc", "baseline1", "baseline2", "baseline3")),
+    st.integers(0, 2),  # seed
+    st.sampled_from((2.5, 3.0, 4.0)),  # path loss exponent
+    st.sampled_from((1.0e-4, 4.0e-4)),  # density
+    st.sampled_from((1.0, 2.0, 8.0, 20.0)),  # disc scale; small ones force fallbacks
+    st.sampled_from(_SYSTEMS),
+    st.sampled_from((0.3, 1.0, 3.0)),  # size ratio
+    st.integers(1, TABLE_HEAD + 2),  # split of the cached files, clipped to the depth
+    st.integers(5, 40),  # trials
+)
+
+
+@settings(max_examples=40)
+@given(st.lists(_CALL, min_size=1, max_size=8))
+def test_table_replay_matches_literal_replay(calls):
+    for design, seed, alpha, density, disc, system, ratio, split, trials in calls:
+        n_files, k, depth = system
+        cfg = replace(make_cfg(ratio, n_files, k, depth, alpha), bs_density=density)
+        pop = zipf_popularity(n_files, 1.0)
+        c = min(split, depth)
+        codes = (c,) * min(n_files, k * c) + (0,) * max(0, n_files - k * c)
+        if design == "rlnc":
+            args = (RlncAllocation(codes), pop, cfg, trials, seed, disc)
+            got, want = _outcome(simulate_rlnc, *args), _outcome(literal_rlnc, *args)
+        elif design == "uc":
+            alloc = UcAllocation(codes, default_serve_counts(codes, depth))
+            args = (alloc, pop, cfg, trials, seed, disc)
+            got, want = _outcome(simulate_uc, *args), _outcome(literal_uc, *args)
+        else:
+            args = (int(design[-1]), pop, cfg, trials, seed, disc)
+            got, want = _outcome(simulate_baseline, *args), _outcome(literal_baseline, *args)
+        assert got == want, (design, seed, alpha, density, disc, system, ratio, c, trials)
+
+
+@pytest.mark.parametrize("disc", [1.0, 8.0])
+def test_chains_deeper_than_the_table_head_match_literal_replay(disc):
+    depth = TABLE_HEAD + 2
+    cfg = make_cfg(0.05, 6, 2, depth)
+    pop = zipf_popularity(6, 1.0)
+    codes = (depth - 1,) * 6
+    uncoded = UcAllocation(codes, default_serve_counts(codes, depth))
+    for seed in (5, 6):
+        args = (RlncAllocation(codes), pop, cfg, 40, seed, disc)
+        assert _outcome(simulate_rlnc, *args) == _outcome(literal_rlnc, *args)
+        args = (uncoded, pop, cfg, 40, seed, disc)
+        assert _outcome(simulate_uc, *args) == _outcome(literal_uc, *args)
+
+
+def test_designs_sharing_a_seed_draw_each_field_at_most_twice(cfg5, pop5, monkeypatch):
+    draws = []
+    real = simulate_module.sample_network
+
+    def counting(*args):
+        draws.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(simulate_module, "sample_network", counting)
+    seed, trials, disc = 123_457, 60, 12.0
+    split = UcAllocation((2, 2, 2, 2, 0), (3, 3, 3, 3, 0))
+    for ratio in (0.5, 1.0, 2.0):
+        cfg = make_cfg(ratio)
+        simulate_rlnc(RlncAllocation((1, 1, 0, 0, 0)), pop5, cfg, trials, seed, disc)
+        simulate_rlnc(RlncAllocation((2, 2, 2, 2, 0)), pop5, cfg, trials, seed, disc)
+        simulate_uc(split, pop5, cfg, trials, seed, disc)
+        simulate_baseline(1, pop5, cfg, trials, seed, disc)
+    assert 0 < len(draws) <= 2 * trials
+    # a ladder scheme's serving station beyond the table's head needs the
+    # whole field again; a literal replay would draw each field 16 times
+    for ratio in (0.5, 1.0, 2.0):
+        for which in (2, 3):
+            simulate_baseline(which, pop5, make_cfg(ratio), trials, seed, disc)
+    assert len(draws) < 3 * trials
+    monkeypatch.undo()
+    assert simulate_uc(split, pop5, cfg5, trials, seed, disc) == literal_uc(
+        split, pop5, cfg5, trials, seed, disc
+    )
+
+
+def test_a_new_key_evicts_the_table(cfg5, pop5):
+    alloc = RlncAllocation((1, 1, 0, 0, 0))
+    simulate_rlnc(alloc, pop5, cfg5, 30, 3, disc_scale=10.0)
+    table = weakref.ref(simulate_module._TABLE)
+    assert table().key == (3, 10.0, cfg5.bs_density, cfg5.path_loss_exp)
+    simulate_baseline(2, pop5, make_cfg(2.0), 30, 3, disc_scale=10.0)
+    assert simulate_module._TABLE is table()  # file size is not part of the key
+    simulate_rlnc(alloc, pop5, cfg5, 30, 3, disc_scale=11.0)
+    gc.collect()
+    assert table() is None
+    assert simulate_module._TABLE.key == (3, 11.0, cfg5.bs_density, cfg5.path_loss_exp)
+
+
+def test_threads_sharing_the_table_get_literal_results(pop5):
+    alloc = RlncAllocation((1, 2, 2, 0, 0))
+    # calls on one key with growing trial counts resize the table while
+    # other calls fill it
+    sizes = range(4, 240, 4)
+    want = {n: literal_rlnc(alloc, pop5, make_cfg(), n, 1, 8.0) for n in sizes}
+    wrong = []
+
+    def worker():
+        try:
+            for n in sizes:
+                if simulate_rlnc(alloc, pop5, make_cfg(), n, 1, 8.0) != want[n]:
+                    wrong.append(n)
+                simulate_rlnc(alloc, pop5, make_cfg(), 8, 2, 8.0)  # evicts the table
+        except Exception as exc:  # a torn table shows as a bad index or shape
+            wrong.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == []
+
+
+def test_files_too_large_for_any_stage_never_succeed(pop5):
+    # 2**(rate_ratio/s) overflows a float beyond a ratio of 1024 per piece
+    cfg = make_cfg(2000.0)
+    assert cfg.stage_threshold(1) == math.inf
+    assert simulate_rlnc(RlncAllocation((1, 2, 2, 0, 0)), pop5, cfg, 50, 1, 10.0).overall.mean == 0.0
+    uncoded = UcAllocation((1, 2, 2, 0, 0), (1, 3, 3, 0, 0))
+    assert simulate_uc(uncoded, pop5, cfg, 50, 1, 10.0).overall.mean == 0.0
+    for which in (1, 2, 3):
+        assert simulate_baseline(which, pop5, cfg, 50, 1, 10.0).mean == 0.0
+    assert stp_rlnc(RlncAllocation((1, 2, 2, 0, 0)), pop5, cfg).total == 0.0
