@@ -29,6 +29,7 @@ from .model import (
     RlncAllocation,
     SystemConfig,
     UcAllocation,
+    rate_threshold,
     validate_rlnc,
     validate_uc,
 )
@@ -86,23 +87,28 @@ class SicNoiseFactor:
 # --------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=4096)
 def sic_noise_factor(s_code: int, cfg: SystemConfig) -> float:
     """Interference penalty of one decode stage for a file split ``s_code`` ways.
 
     This is the factor by which each additional interfering neighbor scales
     down the per-stage success probability.  It is zero for zero-size files
-    and grows with the per-piece rate demand.
+    and grows with the per-piece rate demand.  It depends on the
+    configuration only through the per-piece rate t = rate_ratio/s_code and
+    the path loss exponent, and is cached on that pair.
     """
     if s_code < 1:
         raise AllocationError(f"split count must be at least 1, got {s_code}")
-    t = cfg.rate_ratio / s_code
+    return _noise_factor(cfg.rate_ratio / s_code, cfg.path_loss_exp)
+
+
+@lru_cache(maxsize=4096)
+def _noise_factor(t: float, path_loss_exp: float) -> float:
     if t == 0.0:
         return 0.0
-    threshold = cfg.stage_threshold(s_code)
+    threshold = rate_threshold(t)
     if threshold == math.inf:  # no finite SINR clears the stage
         return math.inf
-    x = 2.0 / cfg.path_loss_exp
+    x = 2.0 / path_loss_exp
     return x * threshold**x * beta_complement(x, 1.0 - x, 2.0**-t)
 
 
@@ -164,6 +170,7 @@ def stp_rlnc(
 # --------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=4096)
 def coupon_pmf(s_code: int, i: int, sic_capability: int) -> float:
     """Probability that piece collection completes exactly at the i-th station.
 
@@ -171,7 +178,8 @@ def coupon_pmf(s_code: int, i: int, sic_capability: int) -> float:
     chosen uniformly at random; collection completes when all pieces have
     been seen.  Evaluated in exact rational arithmetic, so the alternating
     inclusion-exclusion sum cannot lose digits; the final clamp only guards
-    the float conversion.
+    the float conversion.  Memoized: the value depends on the three
+    integers alone and is read once per file form and allocation.
     """
     if not 1 <= s_code <= sic_capability:
         raise ValueError(

@@ -22,6 +22,7 @@ as three files at one third each.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -115,13 +116,21 @@ class SystemConfig:
     def stage_threshold(self, s_code: int) -> float:
         """SINR a decode stage must clear to carry one of ``s_code`` pieces.
 
-        2**(rate_ratio/s_code) - 1, or +inf once 2**t overflows a float: no
-        finite SINR then clears the stage, so its success is exactly zero.
+        See ``rate_threshold``, at t = rate_ratio/s_code.
         """
-        try:
-            return 2.0 ** (self.rate_ratio / s_code) - 1.0
-        except OverflowError:
-            return math.inf
+        return rate_threshold(self.rate_ratio / s_code)
+
+
+def rate_threshold(t: float) -> float:
+    """SINR that carries t bits per unit bandwidth and time: 2**t - 1.
+
+    +inf once 2**t overflows a float: no finite SINR then clears the stage,
+    so its success is exactly zero.
+    """
+    try:
+        return 2.0**t - 1.0
+    except OverflowError:
+        return math.inf
 
 
 # --------------------------------------------------------------------------
@@ -235,12 +244,15 @@ class UcAllocation:
 
 
 def cache_load(codes: tuple[int, ...]) -> Fraction:
-    """Cache slots consumed per base station, as an exact rational."""
-    load = Fraction(0)
-    for c in codes:
-        if c >= 1:
-            load += Fraction(1, c)
-    return load
+    """Cache slots consumed per base station, as an exact rational.
+
+    Files are counted per split count and the counts summed in whole units
+    of 1/L, L the lcm of the split counts present, so the value is exact
+    with one rational per call instead of one per file.
+    """
+    counts = {c: k for c, k in Counter(codes).items() if c >= 1}
+    scale = math.lcm(*counts)
+    return Fraction(sum(k * (scale // c) for c, k in counts.items()), scale)
 
 
 def validate_rlnc(alloc: RlncAllocation, cfg: SystemConfig) -> list[str]:

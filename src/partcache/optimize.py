@@ -14,6 +14,19 @@ rejection (the split item), and finally keeps the better of the greedy
 selection and the split item on its own.  Its value is at least half the
 optimum.  A plain enumerative solver doubles as the optimality oracle for
 small instances.
+
+The greedy runs on arrays: profits are one float64 matrix (classes by
+items), the slopes one matrix (classes by frontier steps), and the walk is
+a single sort and a cumulative sum.  Weights stay exact without rational
+arithmetic: with ``L`` the least common multiple of the weight
+denominators, ``lcm(1..max_split)`` for the unit fractions of
+``build_mckp``, every weight is a whole number of ``1/L`` units, so the
+budget walk is an integer prefix sum compared with ``capacity * L``.  The
+slopes are the same IEEE quotients of the same products a rational walk
+over per-class tuples would form, and the sort key (slope descending, then
+class, then frontier position) is the order of a stable sort of the
+row-major slope matrix, so selections, values and loads are identical to
+that walk.
 """
 
 from __future__ import annotations
@@ -21,6 +34,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+
+import numpy as np
 
 from . import analysis
 from .model import (
@@ -62,29 +78,36 @@ class UnsupportedInstanceError(ValueError):
     """Instance shape outside what the shared-frontier greedy supports."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MckpInstance:
     """One knapsack class per file with a weight profile shared by all classes.
 
     Item indices are 1-based: item ``m`` with ``m <= max_split`` stands for a
     split into ``m`` pieces, item ``max_split + 1`` is the uncached choice.
     ``profits[n][m - 1]`` is the profit of item ``m`` in class ``n``;
-    ``weights[m - 1]`` its weight, identical across classes.
+    ``weights[m - 1]`` its weight, identical across classes.  Profits are
+    stored as one float64 array, classes by items; rows given as sequences
+    are converted.  Instances compare by identity, as arrays have no single
+    truth value.
     """
 
-    profits: tuple[tuple[float, ...], ...]
+    profits: np.ndarray
     weights: tuple[Fraction, ...]
     capacity: Fraction
 
     def __post_init__(self) -> None:
-        if not self.profits:
+        if len(self.profits) == 0:
             raise ValueError("instance needs at least one class")
         n_items = len(self.weights)
         if n_items < 2:
             raise ValueError("each class needs a cached item and the uncached item")
-        for row in self.profits:
-            if len(row) != n_items:
-                raise ValueError("profit rows must match the weight profile length")
+        try:
+            profits = np.asarray(self.profits, dtype=float)
+        except ValueError:  # ragged rows
+            profits = None
+        if profits is None or profits.ndim != 2 or profits.shape[1] != n_items:
+            raise ValueError("profit rows must match the weight profile length")
+        object.__setattr__(self, "profits", profits)
         for idx in range(n_items - 1):
             if self.weights[idx] <= self.weights[idx + 1]:
                 raise ValueError("weights must strictly decrease over the items")
@@ -152,13 +175,16 @@ def build_mckp(design: str, pop: Popularity, cfg: SystemConfig) -> MckpInstance:
             f"popularity covers {len(pop)} files, config declares {cfg.n_files}"
         )
     profile = _profit_profile(cfg, design)
-    profits = tuple(
-        tuple(a * q for q in profile) + (0.0,) for a in pop.probs
+    profits = np.multiply.outer(pop.probs, profile + [0.0])
+    return MckpInstance(
+        profits, _unit_weights(cfg.sic_capability), Fraction(cfg.cache_size)
     )
-    weights = tuple(
-        Fraction(1, m) for m in range(1, cfg.sic_capability + 1)
-    ) + (Fraction(0),)
-    return MckpInstance(profits, weights, Fraction(cfg.cache_size))
+
+
+@lru_cache(maxsize=64)
+def _unit_weights(max_split: int) -> tuple[Fraction, ...]:
+    """Weights 1, 1/2, ..., 1/max_split and the uncached 0."""
+    return tuple(Fraction(1, m) for m in range(1, max_split + 1)) + (Fraction(0),)
 
 
 # --------------------------------------------------------------------------
@@ -168,16 +194,33 @@ def build_mckp(design: str, pop: Popularity, cfg: SystemConfig) -> MckpInstance:
 
 def _check_proportional(instance: MckpInstance) -> None:
     ref = instance.profits[0]
-    j_star = max(range(len(ref)), key=lambda j: ref[j])
-    for n, row in enumerate(instance.profits[1:], start=1):
-        for j in range(len(ref)):
-            lhs = row[j] * ref[j_star]
-            rhs = ref[j] * row[j_star]
-            if abs(lhs - rhs) > _PROPORTIONALITY_TOL * (abs(lhs) + abs(rhs) + 1e-300):
-                raise UnsupportedInstanceError(
-                    f"class {n} is not profit-proportional to class 0; "
-                    "the shared frontier would differ per class"
-                )
+    j_star = int(ref.argmax())
+    rows = instance.profits[1:]
+    lhs = rows * ref[j_star]
+    rhs = ref * rows[:, j_star, None]
+    gap = np.abs(lhs - rhs)
+    # in place: tol * (|lhs| + |rhs| + 1e-300), one temporary fewer per term
+    tol = np.abs(lhs, out=lhs)
+    tol += np.abs(rhs, out=rhs)
+    tol += 1e-300
+    tol *= _PROPORTIONALITY_TOL
+    bad = gap > tol
+    if bad.any():
+        n = int(bad.any(axis=1).argmax()) + 1
+        raise UnsupportedInstanceError(
+            f"class {n} is not profit-proportional to class 0; "
+            "the shared frontier would differ per class"
+        )
+
+
+def _weight_units(weights: tuple[Fraction, ...]) -> tuple[int, list[int]]:
+    """L, the lcm of the weight denominators, and every weight in units of 1/L.
+
+    A difference of units over L, as a float, is the correctly rounded
+    rational weight difference, the same value ``float(Fraction)`` gives.
+    """
+    scale = math.lcm(*(w.denominator for w in weights))
+    return scale, [w.numerator * (scale // w.denominator) for w in weights]
 
 
 def undominated_indices(instance: MckpInstance) -> tuple[int, ...]:
@@ -191,8 +234,8 @@ def undominated_indices(instance: MckpInstance) -> tuple[int, ...]:
     relies on.
     """
     _check_proportional(instance)
-    profile = instance.profits[0]
-    weights = instance.weights
+    profile = instance.profits[0].tolist()
+    scale, units = _weight_units(instance.weights)
     n_items = instance.n_items
 
     kept: list[int] = []  # 0-based positions, increasing weight
@@ -206,11 +249,11 @@ def undominated_indices(instance: MckpInstance) -> tuple[int, ...]:
     for pos in kept:
         while len(hull) >= 2:
             prev, last = hull[-2], hull[-1]
-            slope_in = (profile[last] - profile[prev]) / float(
-                weights[last] - weights[prev]
+            slope_in = (profile[last] - profile[prev]) / (
+                (units[last] - units[prev]) / scale
             )
-            slope_out = (profile[pos] - profile[last]) / float(
-                weights[pos] - weights[last]
+            slope_out = (profile[pos] - profile[last]) / (
+                (units[pos] - units[last]) / scale
             )
             if slope_out >= slope_in:
                 hull.pop()
@@ -235,54 +278,64 @@ def greedy_mckp(instance: MckpInstance) -> MckpSelection:
     weight fits the remaining capacity.  The first upgrade that does not fit
     ends the walk; if capacity is not exactly filled, the better of the
     greedy selection and that split item alone is returned.
+
+    The slopes form one array, classes by frontier steps, and a stable sort
+    of its negated row-major ravel is exactly the order above.  Weights are
+    counted in integer units of 1/L, L the lcm of the weight denominators,
+    so the walk is one integer prefix sum and the first sum above
+    ``capacity * L`` marks the split item.  The result equals that of
+    the same walk in ``Fraction`` arithmetic over per-class tuples.
     """
     frontier = undominated_indices(instance)
     weights = instance.weights
+    capacity = instance.capacity
     profits = instance.profits
     n_classes = instance.n_classes
-    capacity = instance.capacity
+    n_steps = len(frontier) - 1
 
-    # upgrade at position p moves a class from frontier[p + 1] to frontier[p]
-    upgrades = []
-    for n in range(n_classes):
-        row = profits[n]
-        for p in range(len(frontier) - 1):
-            heavy, light = frontier[p] - 1, frontier[p + 1] - 1
-            slope = (row[heavy] - row[light]) / float(
-                weights[heavy] - weights[light]
-            )
-            upgrades.append((-slope, n, p))
-    upgrades.sort()
+    scale, units = _weight_units(weights)
+    # step p moves a class from frontier[p + 1] up to frontier[p]
+    heavy = [item - 1 for item in frontier[:-1]]
+    light = [item - 1 for item in frontier[1:]]
+    step_units = [units[h] - units[l] for h, l in zip(heavy, light)]
+    slopes = (profits[:, heavy] - profits[:, light]) / [u / scale for u in step_units]
+    order = (-slopes.ravel()).argsort(kind="stable")
+    cls, pos = np.divmod(order, max(n_steps, 1))
 
-    position = [len(frontier) - 1] * n_classes
-    used = Fraction(0)
-    split: tuple[int, int] | None = None
-    for neg_slope, n, p in upgrades:
-        if position[n] != p + 1:
-            # frontier slopes decrease within a class, so upgrades arrive in
-            # adjacent order; anything else is a broken invariant
+    full = n_classes * sum(step_units)
+    # int64 holds every prefix sum unless lcm(1..max_split) is huge
+    dtype = np.int64 if full < 2**63 else object
+    used_units = np.cumsum(np.array(step_units, dtype=dtype)[pos])
+    # an integer sum exceeds capacity * L exactly when it exceeds its floor
+    limit = min(capacity.numerator * scale // capacity.denominator, full)
+    split = int(np.searchsorted(used_units, limit, side="right"))
+
+    # frontier slopes decrease within a class, so a class's upgrade p sorts
+    # after its upgrade p + 1 and is reached only once that one was applied;
+    # an upgrade sorted ahead of it (slope no smaller, ties go to the lower
+    # p) and reached by the walk, up to the split item, breaks the invariant
+    ahead = slopes[:, :-1] >= slopes[:, 1:]
+    if ahead.any():
+        rank = np.empty(order.size, dtype=np.intp)
+        rank[order] = np.arange(order.size)
+        if (rank.reshape(n_classes, n_steps)[:, :-1][ahead] <= split).any():
             raise AssertionError("non-adjacent upgrade ordering")
-        heavy, light = frontier[p] - 1, frontier[p + 1] - 1
-        step = weights[heavy] - weights[light]
-        if used + step > capacity:
-            split = (n, frontier[p])
-            break
-        used += step
-        position[n] = p
 
-    choice = tuple(frontier[p] for p in position)
-    value = math.fsum(profits[n][choice[n] - 1] for n in range(n_classes))
+    position = n_steps - np.bincount(cls[:split], minlength=n_classes)
+    choice = np.asarray(frontier)[position]
+    value = math.fsum(profits[np.arange(n_classes), choice - 1].tolist())
+    used = Fraction(int(used_units[split - 1]), scale) if split else Fraction(0)
 
-    if split is not None and used < capacity:
-        n_split, item_split = split
-        alone = profits[n_split][item_split - 1]
+    if split < order.size and used < capacity:
+        n_split, item_split = int(cls[split]), frontier[int(pos[split])]
+        alone = float(profits[n_split, item_split - 1])
         if weights[item_split - 1] <= capacity and alone > value:
             empty = frontier[-1]
             choice = tuple(
                 item_split if n == n_split else empty for n in range(n_classes)
             )
             return MckpSelection(choice, alone, weights[item_split - 1])
-    return MckpSelection(choice, value, used)
+    return MckpSelection(tuple(choice.tolist()), value, used)
 
 
 # --------------------------------------------------------------------------

@@ -140,6 +140,27 @@ def test_cache_load_is_additive(codes, extra):
     assert cache_load(tuple(codes) + (0,)) == base
 
 
+@given(
+    codes=st.one_of(
+        st.lists(st.integers(min_value=0, max_value=12), max_size=40),
+        st.lists(st.integers(min_value=0, max_value=12), min_size=500, max_size=3000),
+    )
+)
+def test_cache_load_matches_per_file_fraction_sum(codes):
+    want = sum((Fraction(1, c) for c in codes if c >= 1), Fraction(0))
+    got = cache_load(tuple(codes))
+    assert type(got) is Fraction
+    assert got == want
+    assert str(got) == str(want)
+
+
+def test_over_budget_message_prints_exact_load(cfg5):
+    # 1 + 1 + 1/3 = 7/3 slots against a budget of 2
+    want = "cache load 7/3 exceeds the per-station budget 2"
+    assert want in validate_rlnc(RlncAllocation((1, 1, 3, 0, 0)), cfg5)
+    assert want in validate_uc(UcAllocation((1, 1, 3, 0, 0), (1, 1, 3, 0, 0)), cfg5)
+
+
 def test_validate_rlnc_flags_budget_and_range(cfg5):
     assert validate_rlnc(RlncAllocation((1, 2, 2, 0, 0)), cfg5) == []
     over = validate_rlnc(RlncAllocation((1, 1, 1, 0, 0)), cfg5)

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from partcache import (
     BudgetExceededError,
@@ -24,14 +26,98 @@ from partcache import (
     stp_rlnc_large_s,
     stp_rlnc_small_s,
     stp_uc,
+    stp_uc_file,
     undominated_indices,
     zipf_popularity,
 )
+from partcache.optimize import _weight_units
+
 from .conftest import make_cfg
 
 
 def codes_of(choice, max_split):
     return tuple(m if m <= max_split else 0 for m in choice)
+
+
+# --------------------------------------------------------- tuple oracle
+# The greedy as a walk over per-class tuples in Fraction arithmetic: one
+# Python product per profit, one tuple per upgrade, one rational addition
+# per applied step.  The array greedy must reproduce it exactly.
+
+
+def oracle_instance(design, pop, cfg):
+    cap = cfg.sic_capability
+    if design == "rlnc":
+        profile = [stp_rlnc_file(m, cfg) for m in range(1, cap + 1)]
+    else:
+        profile = [stp_uc_file(m, 1 if m == 1 else cap, cfg) for m in range(1, cap + 1)]
+    profits = tuple(tuple(a * q for q in profile) + (0.0,) for a in pop.probs)
+    weights = tuple(Fraction(1, m) for m in range(1, cap + 1)) + (Fraction(0),)
+    return profits, weights, Fraction(cfg.cache_size)
+
+
+def oracle_frontier(profile, weights):
+    kept = []
+    best = -math.inf
+    for pos in range(len(profile) - 1, -1, -1):
+        if profile[pos] > best:
+            kept.append(pos)
+            best = profile[pos]
+    hull = []
+    for pos in kept:
+        while len(hull) >= 2:
+            prev, last = hull[-2], hull[-1]
+            slope_in = (profile[last] - profile[prev]) / float(weights[last] - weights[prev])
+            slope_out = (profile[pos] - profile[last]) / float(weights[pos] - weights[last])
+            if slope_out >= slope_in:
+                hull.pop()
+            else:
+                break
+        hull.append(pos)
+    return tuple(pos + 1 for pos in reversed(hull))
+
+
+def oracle_greedy(profits, weights, capacity):
+    frontier = oracle_frontier(profits[0], weights)
+    n_classes = len(profits)
+    upgrades = []
+    for n in range(n_classes):
+        row = profits[n]
+        for p in range(len(frontier) - 1):
+            heavy, light = frontier[p] - 1, frontier[p + 1] - 1
+            slope = (row[heavy] - row[light]) / float(weights[heavy] - weights[light])
+            upgrades.append((-slope, n, p))
+    upgrades.sort()
+    position = [len(frontier) - 1] * n_classes
+    used = Fraction(0)
+    split = None
+    for _, n, p in upgrades:
+        assert position[n] == p + 1
+        heavy, light = frontier[p] - 1, frontier[p + 1] - 1
+        step = weights[heavy] - weights[light]
+        if used + step > capacity:
+            split = (n, frontier[p])
+            break
+        used += step
+        position[n] = p
+    choice = tuple(frontier[p] for p in position)
+    value = math.fsum(profits[n][choice[n] - 1] for n in range(n_classes))
+    if split is not None and used < capacity:
+        n_split, item_split = split
+        alone = profits[n_split][item_split - 1]
+        if weights[item_split - 1] <= capacity and alone > value:
+            empty = frontier[-1]
+            choice = tuple(item_split if n == n_split else empty for n in range(n_classes))
+            return choice, alone, weights[item_split - 1]
+    return choice, value, used
+
+
+def assert_matches_oracle(design, pop, cfg):
+    sel = greedy_mckp(build_mckp(design, pop, cfg))
+    choice, value, used = oracle_greedy(*oracle_instance(design, pop, cfg))
+    assert sel.choice == choice
+    assert type(sel.value) is float and sel.value == value
+    assert type(sel.weight_used) is Fraction and sel.weight_used == used
 
 
 # ------------------------------------------------------------ construction
@@ -140,6 +226,103 @@ def test_greedy_split_item_fallback():
     assert sel.choice == (3, 1)
     assert sel.value == pytest.approx(0.6, abs=1e-15)
     assert sel.weight_used == Fraction(1)
+
+
+@given(
+    n_files=st.integers(min_value=2, max_value=300),
+    max_split=st.integers(min_value=1, max_value=6),
+    cache_frac=st.floats(min_value=0.0, max_value=1.0),
+    log_ratio=st.floats(min_value=-2.0, max_value=1.5),
+    gamma=st.floats(min_value=0.1, max_value=2.5),
+    design=st.sampled_from(["rlnc", "uc"]),
+)
+def test_greedy_matches_tuple_oracle(n_files, max_split, cache_frac, log_ratio, gamma, design):
+    cache_size = 1 + int(cache_frac * (n_files - 2))
+    cfg = make_cfg(
+        ratio=10.0**log_ratio,
+        n_files=n_files,
+        cache_size=cache_size,
+        sic_capability=max_split,
+    )
+    assert_matches_oracle(design, zipf_popularity(n_files, gamma), cfg)
+
+
+@pytest.mark.parametrize("design", ["rlnc", "uc"])
+def test_greedy_matches_tuple_oracle_at_benchmark_scale(design):
+    # the size of the analytic benchmark's allocations
+    n = 20_000
+    cfg = make_cfg(ratio=0.2, n_files=n, cache_size=n // 5, sic_capability=5)
+    assert_matches_oracle(design, zipf_popularity(n, 1.0), cfg)
+
+
+@pytest.mark.parametrize(
+    "ratio, max_split",
+    [
+        (5000.0, 3),  # every split overflows: nothing but the uncached item survives
+        (0.5, 44),  # lcm(1..44) units overflow int64: the walk sums Python ints
+    ],
+)
+def test_greedy_matches_tuple_oracle_at_extremes(ratio, max_split):
+    cfg = make_cfg(ratio=ratio, n_files=60, cache_size=7, sic_capability=max_split)
+    pop = zipf_popularity(60, 0.8)
+    for design in ("rlnc", "uc"):
+        assert_matches_oracle(design, pop, cfg)
+
+
+@pytest.mark.parametrize(
+    "profile, weights, scales",
+    [
+        # non-unit weights; equal rows tie on every slope, in more places
+        # than a sort keeps stable by accident
+        (
+            (0.9, 0.7, 0.3, 0.0),
+            (Fraction(5, 7), Fraction(2, 5), Fraction(1, 9), Fraction(0)),
+            (0.35,) + (0.3,) * 30 + (0.2, 0.05),
+        ),
+        # exact slopes (1, 2) and (2, 4): the tie at 2 goes to the lower class
+        # even though its step is the lighter one
+        ((1.5, 1.0, 0.0), (Fraction(1), Fraction(1, 2), Fraction(0)), (1.0, 2.0)),
+        # cheap items fill almost nothing; the split item alone wins
+        ((1.0, 0.02, 0.0), (Fraction(1), Fraction(1, 100), Fraction(0)), (0.4, 0.6)),
+    ],
+)
+def test_greedy_matches_tuple_oracle_on_hand_built_instances(profile, weights, scales):
+    profits = tuple(tuple(a * g for g in profile) for a in scales)
+    # capacities that are not whole slots, too small for any item, and ample
+    for capacity in (Fraction(1, 200), Fraction(1, 9), Fraction(1), Fraction(11, 6), Fraction(5)):
+        sel = greedy_mckp(MckpInstance(profits, weights, capacity))
+        assert (sel.choice, sel.value, sel.weight_used) == oracle_greedy(
+            profits, weights, capacity
+        )
+
+
+@given(
+    st.lists(
+        st.fractions(min_value=0, max_value=3, max_denominator=10**6),
+        min_size=2,
+        max_size=8,
+        unique=True,
+    )
+)
+def test_weight_units_round_like_fractions(weights):
+    scale, units = _weight_units(tuple(weights))
+    for a, ua in zip(weights, units):
+        assert Fraction(ua, scale) == a
+        for b, ub in zip(weights, units):
+            assert (ua - ub) / scale == float(a - b)
+
+
+def test_greedy_flags_non_adjacent_upgrades():
+    # class 1 is proportional to class 0 within tolerance, but its heavier
+    # step is steeper than its lighter one, against the shared frontier
+    inst = MckpInstance(
+        ((2.0 - 1e-12, 1.0, 0.0), (2.0 + 3e-12, 1.0, 0.0)),
+        (Fraction(1), Fraction(1, 2), Fraction(0)),
+        Fraction(2),
+    )
+    assert undominated_indices(inst) == (1, 2, 3)
+    with pytest.raises(AssertionError, match="non-adjacent"):
+        greedy_mckp(inst)
 
 
 def test_greedy_respects_capacity_everywhere():
