@@ -270,9 +270,15 @@ def stp_rlnc_large_s(
     return _large_size_scale(c_min, cfg) * mass
 
 
+@lru_cache(maxsize=4096)
+def _whole_plane_base(path_loss_exp: float) -> float:
+    """x * B(x, 1 - x) with x = 2/alpha: a function of alpha alone."""
+    x = 2.0 / path_loss_exp
+    return x * beta(x, 1.0 - x)
+
+
 def _large_size_scale(c_min: int, cfg: SystemConfig) -> float:
-    x = 2.0 / cfg.path_loss_exp
-    base = x * beta(x, 1.0 - x)
+    base = _whole_plane_base(cfg.path_loss_exp)
     chain_len = c_min * (c_min + 1) / 2.0
     exponent = (1 + c_min) * cfg.rate_ratio / cfg.path_loss_exp
     return 2.0**-exponent / base**chain_len

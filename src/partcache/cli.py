@@ -554,6 +554,7 @@ def cmd_sweep(args) -> int:
     # The reference schemes decode without SIC, so a receiver-depth sweep
     # simulates each of them once and repeats its row across the grid.
     depth_free = spec.variable == "sic_capability"
+    popularity = {}  # one profile per (n_files, gamma) the grid reaches
     written = []
     for design in spec.designs:
         rows = []
@@ -569,7 +570,9 @@ def cmd_sweep(args) -> int:
             )
         for value in spec.grid:
             cfg, gamma = _apply_variable(cfg0, gamma0, spec.variable, value)
-            pop = zipf_popularity(cfg.n_files, gamma)
+            if (cfg.n_files, gamma) not in popularity:
+                popularity[cfg.n_files, gamma] = zipf_popularity(cfg.n_files, gamma)
+            pop = popularity[cfg.n_files, gamma]
             if cell is None or not reuse:
                 cell = _sweep_cell(
                     design, pop, cfg, want_mc, spec.trials, seed, args.disc_scale

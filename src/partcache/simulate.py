@@ -16,15 +16,28 @@ station.  Trials therefore commute: results depend on (inputs, seed) only,
 never on execution order, and per-station draws stay aligned when the same
 seed is replayed with a larger disc.
 
+Seeding kernel: the contract above is unchanged, and every stream is the
+one SeedSequence and PCG64 would build.  They are built faster: the table
+below hashes the spawn keys of a whole block of trials at once
+(_seed_words: SeedSequence's mixing as uint32 array arithmetic, the seed's
+words mixed once per block), turns a row into PCG64's 128-bit state and
+increment in integer arithmetic (_pcg_state), and loads that state into
+one reusable generator per lane.  Trial ids from 2**32 on, and the literal
+fallbacks, build the streams through SeedSequence itself (_stream).
+
 Field table: calls sharing a seed replay trial t's field, so a one-slot
 table keyed on (seed, disc_scale, bs_density, path_loss_exp) keeps what
-each trial's field leaves behind: its station count, its request uniform,
-the TABLE_HEAD nearest received powers and the tails
-R[d] = float(powers[d:].sum()) for d <= TABLE_HEAD, each computed when
-first needed.  That is 16 + 16 * TABLE_HEAD bytes a trial (about 27 MB for
-100 000 trials); a call with a new key evicts the table.  A field is
-sampled when a design first needs it and at most once more, for a tail
-not yet stored.  Chains and the baselines' SINR tests read the table with
+each trial's field leaves behind: the seed words of its two streams, its
+station count, its request uniform, the TABLE_HEAD nearest received powers
+and the tails R[d] = float(powers[d:].sum()) for d <= TABLE_HEAD.  That is
+64 + 16 + 16 * TABLE_HEAD bytes a trial (about 34 MB for 100 000 trials);
+a call with a new key evicts the table.  Tail rule: a field's first draw
+stores R[d] for d up to the calling receiver's depth M (capped at
+TABLE_HEAD), the deepest tail that receiver's chains read, so designs at
+one depth draw each field once and a single call per seed pays for no
+tail it does not read; a redraw, for a deeper tail, stores all of them.  A
+field is thus sampled when a design first needs it and at most once more.
+Chains and the baselines' SINR tests read the table with
 the literal replay's own expressions, so every estimate is bit-identical to
 a trial-by-trial replay.  Fields that hold no more stations than the
 receiver's depth (sample_network would redraw them for this receiver) and
@@ -40,6 +53,7 @@ import math
 import threading
 from dataclasses import dataclass, replace
 from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
@@ -130,6 +144,90 @@ def _check_seed(seed: int) -> None:
 def _stream(seed: int, trial: int, lane: int) -> np.random.Generator:
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(trial, lane))
     return np.random.Generator(np.random.PCG64(ss))
+
+
+# SeedSequence's hashing (numpy/random/bit_generator.pyx) for a 4-word pool
+# fed the 6 words (seed low, seed high, 0, 0, trial, lane).  The hash
+# constants follow a fixed chain, whatever the data.
+_M32 = 0xFFFFFFFF
+_ONE_WORD_IDS = 2**32  # trial ids below this hash as one spawn-key word
+_XSHIFT = 16
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+# PCG64's 128-bit LCG multiplier and modulus
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_M128 = (1 << 128) - 1
+
+
+def _hash_chain(init: int, mult: int, n: int) -> tuple[int, ...]:
+    chain = [init]
+    for _ in range(n):
+        chain.append(chain[-1] * mult & _M32)
+    return tuple(chain)
+
+
+_HASH_A = _hash_chain(0x43B0D7E5, 0x931E8875, 24)  # mix_entropy's 24 hashes
+_HASH_B = _hash_chain(0x8B51F9DD, 0x58F38DED, 8)  # generate_state's 8 words
+
+
+def _hashmix(value: int, k: int) -> int:
+    value = (value ^ _HASH_A[k]) * _HASH_A[k + 1] & _M32
+    return value ^ (value >> _XSHIFT)
+
+
+def _mix(x: int, y: int) -> int:
+    r = (_MIX_L * x - _MIX_R * y) & _M32
+    return r ^ (r >> _XSHIFT)
+
+
+def _seed_pool(seed: int) -> list[int]:
+    """The pool after mixing the seed's four words, before the spawn key."""
+    pool = [_hashmix(w, k) for k, w in enumerate((seed & _M32, seed >> 32, 0, 0))]
+    k = 4
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], k))
+                k += 1
+    return pool
+
+
+def _seed_words(seed: int, trials: np.ndarray, lane: int) -> np.ndarray:
+    """SeedSequence(seed, spawn_key=(t, lane)).generate_state(4, uint64) per t.
+
+    One row per trial id; ids must lie below _ONE_WORD_IDS.
+    The seed's words are mixed once, then the trial word as uint32 arrays.
+    """
+    u32 = np.uint32
+    shift = u32(_XSHIFT)
+    t = np.asarray(trials, dtype=np.uint32)
+    pool = []
+    for dst, word in enumerate(_seed_pool(seed)):
+        h = (t ^ u32(_HASH_A[16 + dst])) * u32(_HASH_A[17 + dst])
+        h ^= h >> shift
+        r = u32(_MIX_L * word & _M32) - u32(_MIX_R) * h
+        pool.append(r ^ (r >> shift))
+    for dst in range(4):
+        r = u32(_MIX_L) * pool[dst] - u32(_MIX_R * _hashmix(lane, 20 + dst) & _M32)
+        pool[dst] = r ^ (r >> shift)
+    words = []
+    for i in range(8):
+        v = (pool[i % 4] ^ u32(_HASH_B[i])) * u32(_HASH_B[i + 1])
+        words.append(v ^ (v >> shift))
+    w = np.stack(words, axis=1).astype(np.uint64)
+    return w[:, 0::2] | (w[:, 1::2] << np.uint64(32))
+
+
+def _pcg_state(words) -> dict:
+    """PCG64's state after seeding with four generate_state words."""
+    u0, u1, u2, u3 = words
+    inc = ((u2 << 65) | (u3 << 1) | 1) & _M128
+    state = ((inc + ((u0 << 64) | u1)) * _PCG_MULT + inc) & _M128
+    return {
+        "bit_generator": "PCG64",
+        "state": {"state": state, "inc": inc},
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
 
 
 # --------------------------------------------------------------------------
@@ -242,26 +340,38 @@ class _FieldTable:
     TABLE_HEAD nearest received powers and, in column d - 1, the tail
     R[d] = float(powers[d:].sum()) (NaN until needed).  Each is computed by
     the expression the literal replay uses, so verdicts read from the table
-    are bit-identical to it.
+    are bit-identical to it.  Row t also holds the seed words of trial t's
+    two streams, from which ``stream`` loads a reusable generator.
     """
 
     def __init__(self, key, cfg: SystemConfig):
         self.key = key
+        self.seed, self.disc_scale = key[0], key[1]
         self.alpha = cfg.path_loss_exp
         # sample_network redraws a field too small for the receiver.  The
         # table keeps the first draw any receiver accepts (two stations);
         # a field no larger than the caller's receiver falls back to the
         # literal path, which makes the caller's own redraw decision.
         self.probe = replace(cfg, sic_capability=1)
+        # tails a first draw stores: the calling receiver's depth, set by
+        # each call, since its chains read no deeper tail
+        self.keep = TABLE_HEAD
         self.counts = np.zeros(0, dtype=np.int64)
         self.requests = np.zeros(0)
         self.heads = np.zeros((0, TABLE_HEAD))
         self.tails = np.zeros((0, TABLE_HEAD))
+        self.words = np.zeros((0, 2, 4), dtype=np.uint64)
+        self._lanes = tuple(np.random.Generator(np.random.PCG64(0)) for _ in range(2))
         self._held = (-1, None)  # the last sampled trial and its powers
 
     def reserve(self, trials: int) -> None:
         grow = trials - self.counts.size
         if grow > 0:
+            ids = np.arange(self.counts.size, min(trials, _ONE_WORD_IDS))
+            words = np.zeros((grow, 2, 4), dtype=np.uint64)
+            for lane in (0, 1):
+                words[: ids.size, lane] = _seed_words(self.seed, ids, lane)
+            self.words = np.concatenate([self.words, words])
             self.counts = np.concatenate([self.counts, np.zeros(grow, dtype=np.int64)])
             self.requests = np.concatenate([self.requests, np.full(grow, np.nan)])
             self.heads = np.concatenate([self.heads, np.zeros((grow, TABLE_HEAD))])
@@ -269,42 +379,55 @@ class _FieldTable:
                 [self.tails, np.full((grow, TABLE_HEAD), np.nan)]
             )
 
-    def request_uniforms(self, seed: int, trials: int) -> np.ndarray:
+    def stream(self, t: int, lane: int) -> np.random.Generator:
+        """_stream(seed, t, lane), fresh; the lane's generator is reused, so
+        it stays valid until the next call for the same lane."""
+        if t >= _ONE_WORD_IDS:
+            return _stream(self.seed, t, lane)
+        generator = self._lanes[lane]
+        generator.bit_generator.state = _pcg_state(self.words[t, lane].tolist())
+        return generator
+
+    def request_uniforms(self, trials: int) -> np.ndarray:
         """The first lane-0 draw of trials 0..trials-1."""
         u = self.requests[:trials]
         for t in np.flatnonzero(np.isnan(u)).tolist():
-            u[t] = _stream(seed, t, 0).random()
+            u[t] = self.stream(t, 0).random()
         return u
 
-    def _sample(self, seed: int, disc_scale: float, t: int) -> np.ndarray:
+    def _sample(self, t: int) -> np.ndarray:
         redraw = self.counts[t] > 0
-        realization = sample_network(self.probe, _stream(seed, t, 1), disc_scale)
+        realization = sample_network(self.probe, self.stream(t, 1), self.disc_scale)
         powers = _received_powers(realization, self.alpha)
         head = powers[:TABLE_HEAD]
         self.heads[t, : head.size] = head
         self.counts[t] = powers.size
-        if redraw:  # store every tail, so that no field is drawn a third time
-            for d in range(1, TABLE_HEAD + 1):
-                self.tails[t, d - 1] = float(powers[d:].sum())
+        # a redraw stores every tail, so that no field is drawn a third time
+        tails = self.tails[t]
+        for d in range(1, (TABLE_HEAD if redraw else self.keep) + 1):
+            if math.isnan(tails[d - 1]):
+                tails[d - 1] = float(powers[d:].sum())
         self._held = (t, powers)
         return powers
 
-    def count(self, seed: int, disc_scale: float, t: int) -> int:
+    def count(self, t: int) -> int:
         if not self.counts[t]:
-            self._sample(seed, disc_scale, t)
+            self._sample(t)
         return int(self.counts[t])
 
-    def tail(self, seed: int, disc_scale: float, t: int, d: int) -> float:
+    def tail(self, t: int, d: int) -> float:
         """R[d] of trial t, from the table, the field in hand, or a redraw."""
-        if math.isnan(self.tails[t, d - 1]):
-            powers = self.powers(seed, disc_scale, t)
-            self.tails[t, d - 1] = float(powers[d:].sum())
-        return float(self.tails[t, d - 1])
+        tails = self.tails[t]
+        if math.isnan(tails[d - 1]):
+            powers = self.powers(t)  # a draw stores the tails it keeps
+            if math.isnan(tails[d - 1]):
+                tails[d - 1] = float(powers[d:].sum())
+        return float(tails[d - 1])
 
-    def powers(self, seed: int, disc_scale: float, t: int) -> np.ndarray:
+    def powers(self, t: int) -> np.ndarray:
         """Trial t's received powers: the field in hand, or drawn again."""
         held, powers = self._held
-        return powers if held == t else self._sample(seed, disc_scale, t)
+        return powers if held == t else self._sample(t)
 
 
 _TABLE: _FieldTable | None = None
@@ -355,8 +478,9 @@ class _Run:
         self.cfg, self.seed, self.disc_scale = cfg, seed, disc_scale
         self.table = _field_table(seed, disc_scale, cfg)
         self.table.reserve(trials)
+        self.table.keep = min(cfg.sic_capability, TABLE_HEAD)
         cum = np.cumsum(np.asarray(pop.probs, dtype=np.float64))
-        n = np.searchsorted(cum, self.table.request_uniforms(seed, trials), side="right")
+        n = np.searchsorted(cum, self.table.request_uniforms(trials), side="right")
         # cumulative rounding can leave a sliver above the top
         self.requests = np.minimum(n, cfg.n_files - 1)
 
@@ -375,7 +499,7 @@ class _Run:
             )
         table = self.table
         for t in trials[np.isnan(table.tails[trials, depth - 1])].tolist():
-            table.tail(self.seed, self.disc_scale, t, depth)
+            table.tail(t, depth)
         interference = table.tails[trials, depth - 1]
         heads = table.heads[trials]
         threshold = self.cfg.stage_threshold(s_code)
@@ -398,10 +522,10 @@ class _Run:
         table, k = self.table, self.cfg.cache_size
         if not self.replays:
             return self.literal_ladder(t, lo, width, threshold)
-        count = table.count(self.seed, self.disc_scale, t)
+        count = table.count(t)
         if count <= self.cfg.sic_capability:  # the caller would redraw it
             return self.literal_ladder(t, lo, width, threshold)
-        aux = _stream(self.seed, t, 0)
+        aux = table.stream(t, 0)
         aux.random()  # the request, already in the table
         # PCG64 draws are sequential: the near stations' uniforms and then
         # the rest's are the literal path's one draw of ``count``
@@ -415,10 +539,10 @@ class _Run:
             return False
         serving = offset + int(member.argmax())
         if serving < TABLE_HEAD:
-            tail = table.tail(self.seed, self.disc_scale, t, serving + 1)
+            tail = table.tail(t, serving + 1)
             interference = float(table.heads[t, :serving].sum()) + tail
             return float(table.heads[t, serving]) > threshold * interference
-        powers = table.powers(self.seed, self.disc_scale, t)
+        powers = table.powers(t)
         return _serving_sinr_clears(powers, serving, threshold)
 
     def literal_ladder(self, t: int, lo: float, width: float, threshold: float) -> bool:
@@ -446,10 +570,10 @@ class _Run:
         requests = np.bincount(self.requests, minlength=n_files)
         successes = np.bincount(self.requests[ok], minlength=n_files)
         overall = _estimate(int(successes.sum()), self.requests.size, seed)
-        per_file = tuple(
-            _estimate(int(s), int(r), seed) for s, r in zip(successes, requests)
-        )
-        return SimulationResult(overall, per_file)
+        per_file = [_estimate(0, 0, seed)] * n_files  # files nobody requested
+        for n in np.flatnonzero(requests).tolist():
+            per_file[n] = _estimate(int(successes[n]), int(requests[n]), seed)
+        return SimulationResult(overall, tuple(per_file))
 
 
 # --------------------------------------------------------------------------
@@ -531,7 +655,7 @@ def simulate_uc(
         depths = np.minimum(splits, 1)
         for t in np.flatnonzero(splits >= 2).tolist():
             c = int(splits[t])
-            aux = _stream(seed, t, 0)
+            aux = run.table.stream(t, 0)
             aux.random()  # the request, already in the table
             pieces = aux.integers(0, c, size=serves[run.requests[t]])
             depths[t] = subfile_cover_index(pieces, c)
@@ -556,18 +680,20 @@ def water_fill_mu(pop: Popularity, cache_size: int) -> tuple[float, tuple[float,
             f"cache_size must satisfy 1 <= K < {len(probs)}, got {cache_size}"
         )
 
-    def total(mu: float) -> float:
-        return math.fsum(min(a * cache_size + mu, 1.0) for a in probs)
+    scaled = np.asarray(probs, dtype=np.float64) * cache_size
+
+    def widths(mu: float) -> list[float]:
+        return np.minimum(scaled + mu, 1.0).tolist()
 
     lo, hi = 0.0, 1.0
     for _ in range(100):
         mid = 0.5 * (lo + hi)
-        if total(mid) < cache_size:
-            lo = mid
-        else:
-            hi = mid
+        step = (mid, hi) if math.fsum(widths(mid)) < cache_size else (lo, mid)
+        if step == (lo, hi):  # a fixed point: every later step repeats this one
+            break
+        lo, hi = step
     mu = 0.5 * (lo + hi)
-    return mu, tuple(min(a * cache_size + mu, 1.0) for a in probs)
+    return mu, tuple(widths(mu))
 
 
 def _strip_covers(
@@ -609,21 +735,19 @@ def simulate_baseline(
     else:
         widths = None
 
-    if widths is not None:
-        edges = [0.0]
-        for w in widths:
-            edges.append(edges[-1] + w)
     with _TABLE_LOCK:
         run = _Run(pop, cfg, trials, seed, disc_scale)
         if widths is None:  # the top files' nearest station is a one-stage chain
             splits = (run.requests < k).astype(np.int64)
-            return run.result(run.grouped_chains(splits, splits)).overall
-        threshold = cfg.stage_threshold(1)
-        ok = np.array(
-            [
-                run.ladder(t, edges[n], widths[n], threshold)
-                for t, n in enumerate(run.requests.tolist())
-            ],
-            dtype=bool,
-        )
-        return run.result(ok).overall
+            ok = run.grouped_chains(splits, splits)
+        else:
+            edges = list(accumulate(widths, initial=0.0))
+            threshold = cfg.stage_threshold(1)
+            ok = np.array(
+                [
+                    run.ladder(t, edges[n], widths[n], threshold)
+                    for t, n in enumerate(run.requests.tolist())
+                ],
+                dtype=bool,
+            )
+        return _estimate(int(np.count_nonzero(ok)), trials, seed)

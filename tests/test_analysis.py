@@ -253,6 +253,28 @@ def test_large_size_limit_hand_formula(pop5):
     assert stp_rlnc_large_s(alloc, pop5, cfg) == pytest.approx(want, rel=1e-12)
 
 
+def test_large_size_base_is_one_quadrature_per_exponent(pop5, monkeypatch):
+    from partcache import analysis
+    from partcache.special import beta
+
+    calls = []
+    monkeypatch.setattr(analysis, "beta", lambda x, y: calls.append(x) or beta(x, y))
+    analysis._whole_plane_base.cache_clear()
+    alpha = 3.3 + 1e-9  # an exponent no other test uses
+    codes = (2, 2, 0, 0, 0)
+    values = []
+    for ratio in (20.0, 30.0):
+        cfg = make_cfg(ratio, alpha=alpha)
+        values.append(stp_rlnc_large_s(RlncAllocation(codes), pop5, cfg))
+        values.append(stp_uc_large_s(UcAllocation(codes, (3, 3, 0, 0, 0)), pop5, cfg))
+    assert len(calls) == 1
+    x = 2.0 / alpha
+    base = x * beta(x, 1.0 - x)
+    mass = pop5.probs[0] + pop5.probs[1]
+    t = make_cfg(20.0, alpha=alpha).rate_ratio
+    assert values[0] == 2.0 ** -(3 * t / alpha) / base**3.0 * mass
+
+
 def test_limits_bracket_exact_values(pop5):
     alloc = RlncAllocation((2, 2, 2, 2, 0))
     small = make_cfg(ratio=1.0e-3)

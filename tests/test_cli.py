@@ -380,6 +380,25 @@ def test_depth_sweep_simulates_each_baseline_once(tmp_path, capsys, monkeypatch)
         assert (row["mc_mean"], row["mc_ci"]) == (format_real(est.mean), format_real(est.ci_half_width))
 
 
+def test_sweep_builds_one_popularity_per_library(tmp_path, capsys, monkeypatch):
+    spec = write_sweep(
+        tmp_path,
+        """
+        config = system.cfg
+        variable = zipf_gamma
+        grid = 0.8, 1.2
+        designs = rlnc-greedy, uc-greedy, rlnc:1-1-0-0-0
+        evaluation = analytic
+        """,
+    )
+    calls = []
+    real = cli.zipf_popularity
+    monkeypatch.setattr(cli, "zipf_popularity", lambda n, g: calls.append((n, g)) or real(n, g))
+    assert main(["sweep", spec, "--out", str(tmp_path / "out")]) == 0
+    capsys.readouterr()
+    assert sorted(calls) == [(5, 0.8), (5, 1.2)]
+
+
 def test_sweep_seed_override_and_warning(tmp_path, capsys):
     spec = write_sweep(
         tmp_path,

@@ -32,7 +32,14 @@ from partcache import (
     zipf_popularity,
 )
 from partcache import simulate as simulate_module
-from partcache.simulate import TABLE_HEAD, _stream, _strip_covers
+from partcache.simulate import (
+    TABLE_HEAD,
+    _FieldTable,
+    _pcg_state,
+    _seed_words,
+    _stream,
+    _strip_covers,
+)
 from .conftest import make_cfg
 
 
@@ -247,6 +254,39 @@ def test_water_fill_properties():
         assert all(a >= b - 1e-12 for a, b in zip(widths, widths[1:]))
 
 
+def _water_fill_by_generators(pop, cache_size):
+    # the bisection as first written, one min() per file per step
+    probs = pop.probs
+
+    def total(mu):
+        return math.fsum(min(a * cache_size + mu, 1.0) for a in probs)
+
+    lo, hi = 0.0, 1.0
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        if total(mid) < cache_size:
+            lo = mid
+        else:
+            hi = mid
+    mu = 0.5 * (lo + hi)
+    return mu, tuple(min(a * cache_size + mu, 1.0) for a in probs)
+
+
+def test_water_fill_matches_the_generator_bisection():
+    from partcache import Popularity
+
+    cases = [(zipf_popularity(1000, 1.0), k) for k in (1, 200, 999)]
+    cases.append((zipf_popularity(1000, 0.6), 200))
+    rng = np.random.default_rng(23)
+    for _ in range(30):
+        n = int(rng.integers(2, 400))
+        weights = np.sort(rng.exponential(size=n))[::-1] + 1e-9 * np.arange(n, 0, -1)
+        probs = tuple((weights / weights.sum()).tolist())
+        cases.append((Popularity(probs), int(rng.integers(1, n))))
+    for pop, k in cases:
+        assert water_fill_mu(pop, k) == _water_fill_by_generators(pop, k)
+
+
 def test_graded_baseline_runs(cfg5, pop5):
     out = simulate_baseline(3, pop5, cfg5, 1500, 13, disc_scale=25.0)
     assert 0.0 <= out.mean <= 1.0
@@ -433,6 +473,57 @@ def test_designs_sharing_a_seed_draw_each_field_at_most_twice(cfg5, pop5, monkey
     assert simulate_uc(split, pop5, cfg5, trials, seed, disc) == literal_uc(
         split, pop5, cfg5, trials, seed, disc
     )
+
+
+def test_designs_at_one_receiver_depth_draw_each_field_at_most_once(pop5, monkeypatch):
+    # every chain of a depth-M receiver reads a tail R[d] with d <= M, all
+    # of which a field's first draw stores
+    draws = []
+    real = simulate_module.sample_network
+
+    def counting(*args):
+        draws.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(simulate_module, "sample_network", counting)
+    seed, trials, disc = 424_243, 60, 12.0
+    split = UcAllocation((2, 2, 2, 2, 0), (3, 3, 3, 3, 0))
+    for ratio in (0.5, 1.0, 2.0):
+        cfg = make_cfg(ratio)
+        simulate_rlnc(RlncAllocation((1, 1, 0, 0, 0)), pop5, cfg, trials, seed, disc)
+        simulate_rlnc(RlncAllocation((2, 2, 2, 2, 0)), pop5, cfg, trials, seed, disc)
+        simulate_uc(split, pop5, cfg, trials, seed, disc)
+        simulate_rlnc(RlncAllocation((3, 3, 0, 0, 0)), pop5, cfg, trials, seed, disc)
+        simulate_baseline(1, pop5, cfg, trials, seed, disc)
+    assert 0 < len(draws) <= trials
+
+
+_SEEDS = st.one_of(
+    st.sampled_from((0, 2**32 - 1, 2**32, 2**64 - 1)), st.integers(0, 2**64 - 1)
+)
+
+
+@settings(max_examples=200)
+@given(_SEEDS, st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=6), st.sampled_from((0, 1)))
+def test_seed_words_give_numpys_pcg64_state(seed, trials, lane):
+    rows = _seed_words(seed, np.array(trials), lane)
+    assert rows.shape == (len(trials), 4)
+    for t, row in zip(trials, rows.tolist()):
+        ss = np.random.SeedSequence(seed, spawn_key=(t, lane))
+        assert row == ss.generate_state(4, np.uint64).tolist()
+        assert _pcg_state(row) == np.random.PCG64(ss).state
+
+
+@pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 - 1])
+def test_table_streams_replay_seed_sequence_streams(seed):
+    table = _FieldTable((seed, 10.0, 1e-4, 4.0), make_cfg())
+    table.reserve(5)
+    for t in (0, 4, 2**32, 2**40 + 3):  # ids from 2**32 take SeedSequence itself
+        for lane in (0, 1):
+            want = _stream(seed, t, lane)
+            got = table.stream(t, lane)
+            assert got.bit_generator.state == want.bit_generator.state
+            assert got.random(3).tolist() == want.random(3).tolist()
 
 
 def test_a_new_key_evicts_the_table(cfg5, pop5):
